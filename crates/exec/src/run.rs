@@ -177,7 +177,7 @@ fn run_generic<O: Observer>(
                     };
                     let s = m.shadow().shadow_addr(container);
                     component!(pc, &op.raw[0], {
-                        m.mem_mut().write_le_fast(s, 8, lower);
+                        m.mem_mut().write_le(s, 8, lower);
                         m.pipeline_mut().retire_decoded(
                             &op.info[0],
                             &ExecEvents {
@@ -195,7 +195,7 @@ fn run_generic<O: Observer>(
                     }
                     let s = m.shadow().upper_addr(container);
                     component!(pc, &op.raw[1], {
-                        m.mem_mut().write_le_fast(s, 8, upper);
+                        m.mem_mut().write_le(s, 8, upper);
                         m.pipeline_mut().retire_decoded(
                             &op.info[1],
                             &ExecEvents {
@@ -214,7 +214,7 @@ fn run_generic<O: Observer>(
                     let container = m.reg(rs1).wrapping_add(offset);
                     let s = m.shadow().shadow_addr(container);
                     component!(pc, &op.raw[0], {
-                        let v = m.mem().read_le_fast(s, 8);
+                        let v = m.mem().read_le(s, 8);
                         m.srf_mut().write_lower(rd, v);
                         m.pipeline_mut().retire_decoded(
                             &op.info[0],
@@ -233,7 +233,7 @@ fn run_generic<O: Observer>(
                     }
                     let s = m.shadow().upper_addr(container);
                     component!(pc, &op.raw[1], {
-                        let v = m.mem().read_le_fast(s, 8);
+                        let v = m.mem().read_le(s, 8);
                         m.srf_mut().write_upper(rd, v);
                         m.pipeline_mut().retire_decoded(
                             &op.info[1],
@@ -261,7 +261,7 @@ fn run_generic<O: Observer>(
                     let container = m.reg(mrs1).wrapping_add(moffset);
                     let s = m.shadow().shadow_addr(container);
                     component!(pc, &op.raw[0], {
-                        let v = m.mem().read_le_fast(s, 8);
+                        let v = m.mem().read_le(s, 8);
                         m.srf_mut().write_lower(mrd, v);
                         m.pipeline_mut().retire_decoded(
                             &op.info[0],
@@ -290,7 +290,7 @@ fn run_generic<O: Observer>(
                         match trap {
                             Some(t) => Err(t),
                             None => {
-                                let raw = m.mem().read_le_fast(addr, width.bytes());
+                                let raw = m.mem().read_le(addr, width.bytes());
                                 m.set_reg(rd, width.extend(raw));
                                 m.srf_mut().clear(rd);
                                 m.pipeline_mut().retire_decoded(
@@ -413,7 +413,7 @@ fn run_plain(m: &mut Machine, fuel: u64, cache: &mut BlockCache) -> Result<ExitS
                         seam = false;
                     }
                     let s = m.shadow().shadow_addr(container);
-                    m.mem_mut().write_le_fast(s, 8, lower);
+                    m.mem_mut().write_le(s, 8, lower);
                     m.pipeline_mut().charge_shadow_dyn(s);
                     executed += 1;
                     k += 1;
@@ -424,7 +424,7 @@ fn run_plain(m: &mut Machine, fuel: u64, cache: &mut BlockCache) -> Result<ExitS
                         continue 'outer;
                     }
                     let s = m.shadow().upper_addr(container);
-                    m.mem_mut().write_le_fast(s, 8, upper);
+                    m.mem_mut().write_le(s, 8, upper);
                     m.pipeline_mut().charge_shadow_dyn(s);
                     executed += 1;
                     k += 1;
@@ -437,7 +437,7 @@ fn run_plain(m: &mut Machine, fuel: u64, cache: &mut BlockCache) -> Result<ExitS
                         seam = false;
                     }
                     let s = m.shadow().shadow_addr(container);
-                    let v = m.mem().read_le_fast(s, 8);
+                    let v = m.mem().read_le(s, 8);
                     m.srf_mut().write_lower(rd, v);
                     m.pipeline_mut().charge_shadow_dyn(s);
                     executed += 1;
@@ -449,7 +449,7 @@ fn run_plain(m: &mut Machine, fuel: u64, cache: &mut BlockCache) -> Result<ExitS
                         continue 'outer;
                     }
                     let s = m.shadow().upper_addr(container);
-                    let v = m.mem().read_le_fast(s, 8);
+                    let v = m.mem().read_le(s, 8);
                     m.srf_mut().write_upper(rd, v);
                     m.pipeline_mut().charge_shadow_dyn(s);
                     executed += 1;
@@ -472,7 +472,7 @@ fn run_plain(m: &mut Machine, fuel: u64, cache: &mut BlockCache) -> Result<ExitS
                         seam = false;
                     }
                     let s = m.shadow().shadow_addr(container);
-                    let v = m.mem().read_le_fast(s, 8);
+                    let v = m.mem().read_le(s, 8);
                     m.srf_mut().write_lower(mrd, v);
                     m.pipeline_mut().charge_shadow_dyn(s);
                     executed += 1;
@@ -493,7 +493,7 @@ fn run_plain(m: &mut Machine, fuel: u64, cache: &mut BlockCache) -> Result<ExitS
                             return Err(t);
                         }
                     }
-                    let raw = m.mem().read_le_fast(addr, width.bytes());
+                    let raw = m.mem().read_le(addr, width.bytes());
                     m.set_reg(rd, width.extend(raw));
                     m.srf_mut().clear(rd);
                     m.pipeline_mut().charge_mem_dyn(addr);
@@ -605,7 +605,7 @@ fn exec_one<const BATCHED: bool>(
             if checked && spatial {
                 m.spatial_check(pc, rs1, addr, width.bytes())?;
             }
-            let raw = m.mem().read_le_fast(addr, width.bytes());
+            let raw = m.mem().read_le(addr, width.bytes());
             m.set_reg(rd, width.extend(raw));
             m.srf_mut().clear(rd);
             if BATCHED {
@@ -626,7 +626,7 @@ fn exec_one<const BATCHED: bool>(
                 m.spatial_check(pc, rs1, addr, width.bytes())?;
             }
             let val = m.reg(rs2);
-            m.mem_mut().write_le_fast(addr, width.bytes(), val);
+            m.mem_mut().write_le(addr, width.bytes(), val);
             if BATCHED {
                 m.pipeline_mut().charge_mem_dyn(addr);
             } else {
@@ -670,7 +670,7 @@ fn exec_one<const BATCHED: bool>(
             let container = m.reg(rs1).wrapping_add(offset);
             let s = m.shadow().shadow_addr(container);
             let lower = m.srf().read(rs2).map(|c| c.lower).unwrap_or(0);
-            m.mem_mut().write_le_fast(s, 8, lower);
+            m.mem_mut().write_le(s, 8, lower);
             if BATCHED {
                 m.pipeline_mut().charge_shadow_dyn(s);
             } else {
@@ -681,7 +681,7 @@ fn exec_one<const BATCHED: bool>(
             let container = m.reg(rs1).wrapping_add(offset);
             let s = m.shadow().upper_addr(container);
             let upper = m.srf().read(rs2).map(|c| c.upper).unwrap_or(0);
-            m.mem_mut().write_le_fast(s, 8, upper);
+            m.mem_mut().write_le(s, 8, upper);
             if BATCHED {
                 m.pipeline_mut().charge_shadow_dyn(s);
             } else {
@@ -691,7 +691,7 @@ fn exec_one<const BATCHED: bool>(
         OpKind::Lbdls { rd, rs1, offset } => {
             let container = m.reg(rs1).wrapping_add(offset);
             let s = m.shadow().shadow_addr(container);
-            let v = m.mem().read_le_fast(s, 8);
+            let v = m.mem().read_le(s, 8);
             m.srf_mut().write_lower(rd, v);
             if BATCHED {
                 m.pipeline_mut().charge_shadow_dyn(s);
@@ -702,7 +702,7 @@ fn exec_one<const BATCHED: bool>(
         OpKind::Lbdus { rd, rs1, offset } => {
             let container = m.reg(rs1).wrapping_add(offset);
             let s = m.shadow().upper_addr(container);
-            let v = m.mem().read_le_fast(s, 8);
+            let v = m.mem().read_le(s, 8);
             m.srf_mut().write_upper(rd, v);
             if BATCHED {
                 m.pipeline_mut().charge_shadow_dyn(s);
@@ -721,7 +721,7 @@ fn exec_one<const BATCHED: bool>(
                 Field::Base | Field::Bound => m.shadow().shadow_addr(container),
                 Field::Key | Field::Lock => m.shadow().upper_addr(container),
             };
-            let word = m.mem().read_le_fast(s, 8);
+            let word = m.mem().read_le(s, 8);
             let v = match field {
                 Field::Base => m.codec().decompress_spatial(word).0,
                 Field::Bound => m.codec().decompress_spatial(word).1,
@@ -741,7 +741,7 @@ fn exec_one<const BATCHED: bool>(
                 if let Some(c) = m.srf().read(rs1) {
                     let (key, lock) = m.codec().decompress_temporal(c.upper);
                     if lock != 0 {
-                        let stored = m.mem().read_le_fast(lock, 8);
+                        let stored = m.mem().read_le(lock, 8);
                         if BATCHED {
                             m.pipeline_mut().charge_tchk_dyn(lock, stored);
                         } else {

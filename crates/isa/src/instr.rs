@@ -682,9 +682,12 @@ impl Instr {
         (!rd.is_zero()).then_some(rd)
     }
 
-    /// The GPRs read by this instruction.
-    pub fn src_gprs(self) -> Vec<Reg> {
-        let mut v = Vec::with_capacity(2);
+    /// Whether this instruction reads GPR `r`. x0 always reads zero, so
+    /// it is never reported as a source (it can carry no dependence).
+    pub fn reads_gpr(self, r: Reg) -> bool {
+        if r.is_zero() {
+            return false;
+        }
         match self {
             Instr::Jalr { rs1, .. }
             | Instr::Load { rs1, .. }
@@ -696,20 +699,16 @@ impl Instr {
             | Instr::Lbnd { rs1, .. }
             | Instr::Lkey { rs1, .. }
             | Instr::Lloc { rs1, .. }
-            | Instr::Tchk { rs1 } => v.push(rs1),
+            | Instr::Tchk { rs1 }
+            | Instr::Sbdl { rs1, .. }
+            | Instr::Sbdu { rs1, .. } => rs1 == r,
             Instr::Branch { rs1, rs2, .. }
             | Instr::Store { rs1, rs2, .. }
             | Instr::Alu { rs1, rs2, .. }
             | Instr::Bndrs { rs1, rs2, .. }
-            | Instr::Bndrt { rs1, rs2, .. } => {
-                v.push(rs1);
-                v.push(rs2);
-            }
-            Instr::Sbdl { rs1, .. } | Instr::Sbdu { rs1, .. } => v.push(rs1),
-            _ => {}
+            | Instr::Bndrt { rs1, rs2, .. } => rs1 == r || rs2 == r,
+            _ => false,
         }
-        v.retain(|r| !r.is_zero());
-        v
     }
 }
 
@@ -819,7 +818,8 @@ mod tests {
             rs2: Reg::A2,
         };
         assert_eq!(i.dest_gpr(), Some(Reg::A0));
-        assert_eq!(i.src_gprs(), vec![Reg::A1, Reg::A2]);
+        assert!(i.reads_gpr(Reg::A1) && i.reads_gpr(Reg::A2));
+        assert!(!i.reads_gpr(Reg::A0), "the destination is not a source");
 
         // Writes to zero are discarded.
         let i = Instr::AluImm {
@@ -837,7 +837,8 @@ mod tests {
             rs2: Reg::A2,
         };
         assert_eq!(i.dest_gpr(), None);
-        assert_eq!(i.src_gprs(), vec![Reg::A1, Reg::A2]);
+        assert!(i.reads_gpr(Reg::A1) && i.reads_gpr(Reg::A2));
+        assert!(!i.reads_gpr(Reg::A0) && !i.reads_gpr(Reg::A3));
 
         // lbas writes a GPR.
         let i = Instr::Lbas {
@@ -854,6 +855,8 @@ mod tests {
             rs1: Reg::Zero,
             rs2: Reg::A2,
         };
-        assert_eq!(i.src_gprs(), vec![Reg::A2]);
+        assert!(i.reads_gpr(Reg::A2));
+        assert!(!i.reads_gpr(Reg::Zero), "x0 is never a source");
+        assert!(!i.reads_gpr(Reg::A1));
     }
 }

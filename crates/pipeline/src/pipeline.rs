@@ -71,8 +71,7 @@ pub struct ExecEvents {
 
 /// The timing-relevant shape of an instruction, pre-resolved once at
 /// decode time so the fast execution tier can retire without
-/// re-matching the full [`Instr`] (and without the per-retire source
-/// register `Vec` that [`Instr::src_gprs`] allocates).
+/// re-matching the full [`Instr`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RetireClass {
     /// A load (plain or checked) writing `rd`.
@@ -125,14 +124,16 @@ pub struct RetireInfo {
 }
 
 impl RetireInfo {
-    /// Pre-resolves `instr` (mirrors [`Instr::src_gprs`],
-    /// [`Instr::is_hwst`] and the [`Pipeline::retire`] match arms).
+    /// Pre-resolves `instr`: its source list, [`Instr::is_hwst`] and the
+    /// [`Pipeline::retire`] match arms. The source list is derived here
+    /// on its own, not through [`Instr::reads_gpr`], so the two
+    /// derivations check each other.
     pub fn of(instr: &Instr) -> Self {
         let mut srcs = [Reg::Zero; 2];
         let mut nsrcs = 0u8;
         let mut push = |r: Reg| {
-            // src_gprs() drops x0: it always reads zero, so it can
-            // never carry a load-use dependence.
+            // x0 always reads zero, so it can never carry a load-use
+            // dependence.
             if !r.is_zero() {
                 srcs[nsrcs as usize] = r;
                 nsrcs += 1;
@@ -210,8 +211,8 @@ impl RetireInfo {
         self.is_hwst
     }
 
-    /// Whether the instruction reads GPR `r` (x0 never reads as a
-    /// dependence, mirroring `src_gprs`).
+    /// Whether the instruction reads GPR `r` (x0 is never a
+    /// dependence).
     #[inline]
     pub fn reads(&self, r: Reg) -> bool {
         self.srcs[..self.nsrcs as usize].contains(&r)
@@ -441,7 +442,7 @@ impl Pipeline {
 
         // Load-use interlock against the previous instruction.
         if let Some(dest) = self.prev_load_dest.take() {
-            if instr.src_gprs().contains(&dest) {
+            if instr.reads_gpr(dest) {
                 self.stats.load_use_stalls += self.cfg.load_use_stall;
                 cycles += self.cfg.load_use_stall;
             }
@@ -1150,6 +1151,150 @@ mod tests {
         assert!(by_instr.stats().load_use_stalls > 0, "interlock exercised");
         assert_eq!(by_instr.stats().keybuffer_hits, 1);
         assert_eq!(by_instr.stats().keybuffer_misses, 1);
+    }
+
+    /// Every `Instr` shape, in one operand pattern per variant.
+    fn every_shape(rd: Reg, rs1: Reg, rs2: Reg) -> Vec<Instr> {
+        use hwst_isa::{AluImmOp, CsrOp};
+        vec![
+            Instr::Lui { rd, imm: 4096 },
+            Instr::Auipc { rd, imm: 0 },
+            Instr::Jal { rd, offset: 8 },
+            Instr::Jalr { rd, rs1, offset: 0 },
+            Instr::Branch {
+                cond: BranchCond::Ltu,
+                rs1,
+                rs2,
+                offset: -8,
+            },
+            Instr::Load {
+                width: LoadWidth::W,
+                rd,
+                rs1,
+                offset: 4,
+                checked: true,
+            },
+            Instr::Store {
+                width: StoreWidth::H,
+                rs1,
+                rs2,
+                offset: 2,
+                checked: false,
+            },
+            Instr::AluImm {
+                op: AluImmOp::Addi,
+                rd,
+                rs1,
+                imm: 1,
+            },
+            Instr::Alu {
+                op: AluOp::Mulhu,
+                rd,
+                rs1,
+                rs2,
+            },
+            Instr::Csr {
+                op: CsrOp::Rs,
+                rd,
+                rs1,
+                csr: 0x8c3,
+            },
+            Instr::Ecall,
+            Instr::Ebreak,
+            Instr::Fence,
+            Instr::Bndrs { rd, rs1, rs2 },
+            Instr::Bndrt { rd, rs1, rs2 },
+            Instr::Sbdl {
+                rs1,
+                rs2,
+                offset: 0,
+            },
+            Instr::Sbdu {
+                rs1,
+                rs2,
+                offset: 8,
+            },
+            Instr::Lbdls { rd, rs1, offset: 0 },
+            Instr::Lbdus { rd, rs1, offset: 0 },
+            Instr::Lbas { rd, rs1, offset: 0 },
+            Instr::Lbnd { rd, rs1, offset: 0 },
+            Instr::Lkey { rd, rs1, offset: 0 },
+            Instr::Lloc { rd, rs1, offset: 0 },
+            Instr::Tchk { rs1 },
+            Instr::SrfMv { rd, rs1 },
+            Instr::SrfClr { rd },
+        ]
+    }
+
+    /// The variant's position in `every_shape`. The match has no
+    /// wildcard, so a new `Instr` variant fails to compile here until it
+    /// is added to the list.
+    fn shape_index(i: &Instr) -> usize {
+        match i {
+            Instr::Lui { .. } => 0,
+            Instr::Auipc { .. } => 1,
+            Instr::Jal { .. } => 2,
+            Instr::Jalr { .. } => 3,
+            Instr::Branch { .. } => 4,
+            Instr::Load { .. } => 5,
+            Instr::Store { .. } => 6,
+            Instr::AluImm { .. } => 7,
+            Instr::Alu { .. } => 8,
+            Instr::Csr { .. } => 9,
+            Instr::Ecall => 10,
+            Instr::Ebreak => 11,
+            Instr::Fence => 12,
+            Instr::Bndrs { .. } => 13,
+            Instr::Bndrt { .. } => 14,
+            Instr::Sbdl { .. } => 15,
+            Instr::Sbdu { .. } => 16,
+            Instr::Lbdls { .. } => 17,
+            Instr::Lbdus { .. } => 18,
+            Instr::Lbas { .. } => 19,
+            Instr::Lbnd { .. } => 20,
+            Instr::Lkey { .. } => 21,
+            Instr::Lloc { .. } => 22,
+            Instr::Tchk { .. } => 23,
+            Instr::SrfMv { .. } => 24,
+            Instr::SrfClr { .. } => 25,
+        }
+    }
+
+    /// `Instr::reads_gpr` (what `retire` consults) and
+    /// `RetireInfo::reads` (what `retire_decoded` consults) derive the
+    /// source registers independently. They must agree for every
+    /// instruction shape, every HWST128 one included, on all 32
+    /// registers, with distinct, aliased and x0 operands.
+    #[test]
+    fn source_register_derivations_agree() {
+        let operands = [
+            (Reg::A0, Reg::A1, Reg::S2),
+            (Reg::A1, Reg::A1, Reg::A1),
+            (Reg::A0, Reg::Zero, Reg::T6),
+            (Reg::T6, Reg::S11, Reg::Zero),
+            (Reg::Zero, Reg::Zero, Reg::Zero),
+        ];
+        let mut seen = [false; 26];
+        for (rd, rs1, rs2) in operands {
+            for (k, i) in every_shape(rd, rs1, rs2).iter().enumerate() {
+                assert_eq!(shape_index(i), k, "every_shape order");
+                seen[k] = true;
+                let info = RetireInfo::of(i);
+                for r in Reg::ALL {
+                    assert_eq!(i.reads_gpr(r), info.reads(r), "{i:?} reading {r:?}");
+                }
+                assert!(!i.reads_gpr(Reg::Zero), "{i:?}: x0 is never a source");
+            }
+        }
+        assert!(seen.iter().all(|&s| s), "every shape covered");
+        // Spot-check the sets themselves, not only their agreement.
+        let st = &every_shape(Reg::A0, Reg::A1, Reg::S2)[6];
+        assert!(st.reads_gpr(Reg::A1) && st.reads_gpr(Reg::S2) && !st.reads_gpr(Reg::A0));
+        let sbdl = &every_shape(Reg::A0, Reg::A1, Reg::S2)[15];
+        assert!(
+            sbdl.reads_gpr(Reg::A1) && !sbdl.reads_gpr(Reg::S2),
+            "SRF operand"
+        );
     }
 
     /// The trie layout's directory walk goes through the same path in

@@ -146,8 +146,12 @@ pub struct Machine {
     pub(crate) output: Vec<u8>,
     pub(crate) events: RuntimeEvents,
     pub(crate) exited: Option<u64>,
-    /// Custom CSR backing store (hwst.* registers).
+    /// Custom CSR backing store (hwst.* registers other than
+    /// `hwst.status`).
     pub(crate) csrs: std::collections::HashMap<u16, u64>,
+    /// The `hwst.status` CSR, the only copy of it: every checked access
+    /// and `tchk` reads it, so it lives outside the hashed store.
+    pub(crate) status: u64,
     /// Bumped on every [`Self::reload_image`]; decoded-block caches
     /// validate against it so a swapped program can never execute
     /// through stale pre-decoded blocks.
@@ -171,7 +175,6 @@ impl Machine {
         let status = (cfg.spatial as u64 * csr::STATUS_SPATIAL)
             | (cfg.temporal as u64 * csr::STATUS_TEMPORAL)
             | (cfg.keybuffer as u64 * csr::STATUS_KEYBUFFER);
-        csrs.insert(csr::HWST_STATUS, status);
         let pc = program.base();
         // Disabling the keybuffer in the safety config zeroes its size in
         // the timing model (every tchk pays the key load).
@@ -195,6 +198,7 @@ impl Machine {
             events: RuntimeEvents::default(),
             exited: None,
             csrs,
+            status,
             epoch: 0,
         }
     }
@@ -384,11 +388,16 @@ impl Machine {
         match addr {
             csr::CYCLE => self.pipeline.stats().total_cycles(),
             csr::INSTRET => self.pipeline.stats().instret,
+            csr::HWST_STATUS => self.status,
             _ => self.csrs.get(&addr).copied().unwrap_or(0),
         }
     }
 
     pub(crate) fn set_csr(&mut self, addr: u16, v: u64) {
+        if addr == csr::HWST_STATUS {
+            self.status = v;
+            return;
+        }
         self.csrs.insert(addr, v);
         // Reconfigure derived units when HWST CSRs change.
         match addr {
@@ -409,12 +418,12 @@ impl Machine {
 
     /// Whether hardware spatial checks are armed.
     pub(crate) fn spatial_on(&self) -> bool {
-        self.csr(csr::HWST_STATUS) & csr::STATUS_SPATIAL != 0
+        self.status & csr::STATUS_SPATIAL != 0
     }
 
     /// Whether hardware temporal checks are armed.
     pub(crate) fn temporal_on(&self) -> bool {
-        self.csr(csr::HWST_STATUS) & csr::STATUS_TEMPORAL != 0
+        self.status & csr::STATUS_TEMPORAL != 0
     }
 
     /// Whether hardware spatial checks are armed (the
