@@ -19,7 +19,7 @@
 
 use hwst128::compiler::OptLevel;
 use hwst_bench::cli::BenchArgs;
-use hwst_bench::exec::exec_geomean;
+use hwst_bench::exec::{exec_geomean, exec_geomean_by};
 use hwst_bench::runs::{exec_results_opt, profile_names, serial_wall};
 use hwst_bench::summary::{exec_summary, write_json};
 use hwst_harness::collect_ok;
@@ -70,6 +70,11 @@ fn main() {
     }
     let g = exec_geomean(&rows);
     println!("geomean speedup: {g:.1}x (target >= 10x)");
+    println!(
+        "geomean Mips: cycle {:.2}, fast {:.2}",
+        exec_geomean_by(&rows, |r| r.cycle_ips() / 1e6),
+        exec_geomean_by(&rows, |r| r.fast_ips() / 1e6)
+    );
     eprintln!(
         "wall {:.1} ms (serial {:.1} ms) on {} worker(s)",
         wall.as_secs_f64() * 1e3,

@@ -125,10 +125,16 @@ pub fn try_exec_row_opt(wl: &Workload, scale: Scale, opt: OptLevel) -> Result<Ex
 
 /// Geometric-mean speedup over the rows (0.0 for an empty slice).
 pub fn exec_geomean(rows: &[ExecRow]) -> f64 {
+    exec_geomean_by(rows, ExecRow::speedup)
+}
+
+/// Geometric mean of `f` over the rows (0.0 for an empty slice) — e.g.
+/// each engine's absolute throughput, reported next to the speedup.
+pub fn exec_geomean_by(rows: &[ExecRow], f: impl Fn(&ExecRow) -> f64) -> f64 {
     if rows.is_empty() {
         return 0.0;
     }
-    let logsum: f64 = rows.iter().map(|r| r.speedup().ln()).sum();
+    let logsum: f64 = rows.iter().map(|r| f(r).ln()).sum();
     (logsum / rows.len() as f64).exp()
 }
 
@@ -157,5 +163,8 @@ mod tests {
         };
         let g = exec_geomean(&[row(100), row(1000)]);
         assert!((g - 4.0).abs() < 1e-9, "{g}");
+        // 100 instructions in 100 ns and in 1000 ns: 1000 and 100 Mips.
+        let fast = exec_geomean_by(&[row(100), row(1000)], |r| r.fast_ips() / 1e6);
+        assert!((fast - 316.227_766_016_837_9).abs() < 1e-6, "{fast}");
     }
 }

@@ -423,8 +423,9 @@ pub fn profile_summary(
 }
 
 /// The `BENCH_exec.json` document (experiment X1 — fast-engine
-/// speedup). Host times vary between machines and runs; `instret` and
-/// the divergence-free row set are the deterministic parts.
+/// speedup, with each engine's geomean absolute Mips beside it). Host
+/// times vary between machines and runs; `instret` and the
+/// divergence-free row set are the deterministic parts.
 pub fn exec_summary(
     scale: Scale,
     workers: usize,
@@ -463,6 +464,14 @@ pub fn exec_summary(
     )
     .set("failed", failures(failed))
     .set("geomean_speedup", geomean)
+    .set(
+        "cycle_mips",
+        crate::exec::exec_geomean_by(&owned, |r| r.cycle_ips() / 1e6),
+    )
+    .set(
+        "fast_mips",
+        crate::exec::exec_geomean_by(&owned, |r| r.fast_ips() / 1e6),
+    )
     .set("target_speedup", 10.0)
     .set("meets_target", geomean >= 10.0)
 }

@@ -114,8 +114,9 @@ fn fast_engine_bit_identical_on_full_suite() {
 /// The `BENCH_exec.json` artifact (the committed full-scale X1 run, or
 /// the one CI's smoke step just emitted) must parse, be schema-stable,
 /// and report the 10× target honestly: `meets_target` must equal the
-/// recorded geomean actually clearing `target_speedup`. Host timings
-/// vary, so no speedup floor is asserted — only structure and
+/// recorded geomean actually clearing `target_speedup`. The geomean
+/// absolute `cycle_mips`/`fast_mips` must be present and positive. Host
+/// timings vary, so no speedup floor is asserted — only structure and
 /// self-consistency.
 #[test]
 fn emitted_bench_exec_artifact_is_valid() {
@@ -141,6 +142,13 @@ fn emitted_bench_exec_artifact_is_valid() {
                 .unwrap_or_else(|| panic!("{name}: {key} missing"));
             assert!(v > 0.0, "{name}: {key} must be positive, got {v}");
         }
+    }
+    for key in ["cycle_mips", "fast_mips"] {
+        let v = doc
+            .get(key)
+            .and_then(Json::as_f64)
+            .unwrap_or_else(|| panic!("{key} missing"));
+        assert!(v > 0.0, "{key} must be positive, got {v}");
     }
     let geomean = doc
         .get("geomean_speedup")
