@@ -3,7 +3,7 @@
 //!
 //! Each workload is compiled once for `HWST128_tchk`, executed under
 //! both engines, and timed on the host clock. The fast run starts from
-//! a **cold** block cache, so its time includes decode and fusion — the
+//! a **cold** block cache, so its time includes block decode — the
 //! honest end-to-end cost a sweep pays. Before any number is reported
 //! the two [`hwst128::sim::ExitStatus`] values are compared; a
 //! divergence is a hard row failure, so the speedup table doubles as a
@@ -32,7 +32,7 @@ pub struct ExecRow {
     /// Host nanoseconds of the cycle-engine run.
     pub cycle_ns: u64,
     /// Host nanoseconds of the fast-engine run (cold cache: includes
-    /// block decode and fusion).
+    /// block decode).
     pub fast_ns: u64,
     /// Basic blocks decoded by the fast run.
     pub decoded_blocks: u64,

@@ -1,13 +1,11 @@
 //! # hwst-exec
 //!
 //! The decoded-block fast execution tier over [`hwst_sim`]: each basic
-//! block is decoded **once** into a cache of pre-resolved operations
-//! (immediates sign-extended, branch/jump targets computed, retire
-//! shapes pre-classified), hot HWST128 pairs are fused into
-//! superinstructions (`sbdl`+`sbdu`, `lbdls`+`lbdus`,
-//! `lbdls`+checked-load), and subsequent executions dispatch straight
-//! over the cached block — no per-step fetch, decode match or source-
-//! register allocation.
+//! block is decoded **once** into a cache holding its instructions, their
+//! pre-classified retire shapes and the prefix sums of their static
+//! cycle charges, and subsequent executions dispatch straight over the
+//! cached block — no per-step fetch, and the static share of retirement
+//! applied once per block.
 //!
 //! ## The bit-identity contract
 //!
@@ -22,19 +20,15 @@
 //! [`Machine::run_profiled`]. This holds because the tier *shares* the
 //! cycle model rather than approximating it:
 //!
-//! * every component of every op (fused or not) retires through
-//!   [`hwst_pipeline::Pipeline::retire_decoded`], which charges exactly
-//!   what `retire` charges;
+//! * every instruction retires through [`hwst_pipeline::Pipeline::retire`]
+//!   in profiled runs, and through its batched split
+//!   (`charge_static` per block, `charge_dyn` per instruction) otherwise,
+//!   which charges exactly what `retire` charges;
 //! * spatial checks go through [`Machine::spatial_check`] — the same SCU
 //!   predicate the cycle engine uses;
 //! * telemetry splits go through [`hwst_sim::classify`];
 //! * instructions with environment interactions (`ecall`, `csr*`,
 //!   `ebreak`) fall back to [`Machine::step`] itself.
-//!
-//! Fusion never changes semantics: a fused pair still executes and
-//! retires as two components, each consuming one fuel unit — the fusion
-//! only collapses dispatch and shares address computation that is
-//! provably identical between the halves.
 //!
 //! ## Invalidation
 //!
@@ -85,7 +79,7 @@ use hwst_telemetry::Profiler;
 pub enum Engine {
     /// The reference cycle interpreter: fetch/decode/execute per step.
     Cycle,
-    /// The decoded-block tier with superinstruction fusion.
+    /// The decoded-block tier.
     #[default]
     Fast,
 }

@@ -41,8 +41,6 @@ mod stats;
 
 pub use cache::{Cache, CacheConfig};
 pub use keybuffer::KeyBuffer;
-pub use pipeline::{
-    ExecEvents, Pipeline, PipelineConfig, RetireClass, RetireInfo, ShadowLayout, StaticCharges,
-};
+pub use pipeline::{ExecEvents, Pipeline, PipelineConfig, RetireInfo, ShadowLayout, StaticCharges};
 pub use srf::ShadowRegisterFile;
 pub use stats::CycleStats;

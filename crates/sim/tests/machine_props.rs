@@ -143,8 +143,8 @@ proptest! {
     /// and registers, the same cycle stats. This is the generative
     /// counterpart of the workload differential gate in
     /// `tests/exec.rs` — random streams reach decoder corners (jumps
-    /// into fused pairs, blocks ending mid-idiom, traps at every
-    /// offset) no workload exercises.
+    /// into the middle of metadata idioms, blocks ending mid-idiom,
+    /// traps at every offset) no workload exercises.
     #[test]
     fn random_words_execute_identically_on_both_engines(
         words in prop::collection::vec(any::<u32>(), 1..64),
